@@ -11,10 +11,30 @@
 use std::collections::BTreeMap;
 
 use uc_faultlog::record::LogRecord;
-use uc_faultlog::store::NodeLog;
+use uc_faultlog::store::{LogEntry, NodeLog};
 use uc_simclock::SimTime;
 
 use crate::fault::Fault;
+
+/// Call `session(start, end, alloc_bytes)` for every START..END pair of a
+/// node's log, in log order. A START followed by another START is a hard
+/// reboot: the first session gets zero credit. Only single entries can be
+/// session markers — an [`LogEntry::ErrorRun`] holds ERROR records alone —
+/// so the walk is over `entries()` and never expands a run.
+fn for_each_session(log: &NodeLog, mut session: impl FnMut(SimTime, SimTime, u64)) {
+    let mut pending: Option<(SimTime, u64)> = None;
+    for entry in log.entries() {
+        match entry {
+            LogEntry::One(LogRecord::Start(s)) => pending = Some((s.time, s.alloc_bytes)),
+            LogEntry::One(LogRecord::End(e)) => {
+                if let Some((start, alloc)) = pending.take() {
+                    session(start, e.time, alloc);
+                }
+            }
+            _ => {}
+        }
+    }
+}
 
 /// Sparse per-day scanned volume (TBh), unbounded in time.
 ///
@@ -53,18 +73,7 @@ impl DayVolume {
     /// Accumulate from a node's log: START/END pairing with the
     /// conservative hard-reboot rule, as [`DailySeries::add_node_log`].
     pub fn add_node_log(&mut self, log: &NodeLog) {
-        let mut pending: Option<(SimTime, u64)> = None;
-        for rec in log.iter() {
-            match rec {
-                LogRecord::Start(s) => pending = Some((s.time, s.alloc_bytes)),
-                LogRecord::End(e) => {
-                    if let Some((start, alloc)) = pending.take() {
-                        self.add_session(start, e.time, alloc);
-                    }
-                }
-                _ => {}
-            }
-        }
+        for_each_session(log, |start, end, alloc| self.add_session(start, end, alloc));
     }
 
     /// (day index, TBh) pairs in day order.
@@ -142,21 +151,7 @@ impl DailySeries {
     /// Accumulate scan volume from a node's log (START/END pairing with the
     /// conservative hard-reboot rule).
     pub fn add_node_log(&mut self, log: &NodeLog) {
-        let mut pending: Option<(SimTime, u64)> = None;
-        for rec in log.iter() {
-            match rec {
-                LogRecord::Start(s) => {
-                    // A pending START without END: hard reboot, zero credit.
-                    pending = Some((s.time, s.alloc_bytes));
-                }
-                LogRecord::End(e) => {
-                    if let Some((start, alloc)) = pending.take() {
-                        self.add_session(start, e.time, alloc);
-                    }
-                }
-                _ => {}
-            }
-        }
+        for_each_session(log, |start, end, alloc| self.add_session(start, end, alloc));
     }
 
     /// Copy the overlapping slice of a pre-accumulated [`DayVolume`] into
@@ -342,6 +337,86 @@ mod tests {
         }
         // And the pairs round-trip losslessly (footer storage path).
         assert_eq!(DayVolume::from_pairs(volume.iter()), volume);
+    }
+
+    /// The pre-run-aware walk: every record of the expanded log, runs
+    /// included.
+    fn day_volume_by_expansion(log: &NodeLog) -> DayVolume {
+        let mut volume = DayVolume::default();
+        let mut pending: Option<(SimTime, u64)> = None;
+        for rec in log.iter() {
+            match rec {
+                LogRecord::Start(s) => pending = Some((s.time, s.alloc_bytes)),
+                LogRecord::End(e) => {
+                    if let Some((start, alloc)) = pending.take() {
+                        volume.add_session(start, e.time, alloc);
+                    }
+                }
+                _ => {}
+            }
+        }
+        volume
+    }
+
+    #[test]
+    fn day_volume_skips_runs_without_expanding_them() {
+        use uc_faultlog::record::ErrorRecord;
+        let node = NodeId(7);
+        let start = |t: i64| {
+            LogRecord::Start(StartRecord {
+                time: SimTime::from_secs(t),
+                node,
+                alloc_bytes: GB3,
+                temp: None,
+            })
+        };
+        let end = |t: i64| {
+            LogRecord::End(EndRecord {
+                time: SimTime::from_secs(t),
+                node,
+                temp: None,
+            })
+        };
+        let stuck = |t: i64| ErrorRecord {
+            time: SimTime::from_secs(t),
+            node,
+            vaddr: 0x100,
+            phys_page: 0,
+            expected: 0xFFFF_FFFF,
+            actual: 0xFFFF_FFFE,
+            temp: None,
+        };
+        let build = |count: Option<u64>| {
+            let mut log = NodeLog::new(node);
+            log.push(start(18 * 3_600));
+            if let Some(count) = count {
+                log.push_run(stuck(18 * 3_600 + 40), count, SimDuration::from_secs(40));
+            }
+            log.push(end(30 * 3_600));
+            log.push(start(31 * 3_600));
+            log.push(start(32 * 3_600));
+            log.push(end(40 * 3_600));
+            log
+        };
+        // A small run: the entry walk matches the expanded walk.
+        let small = build(Some(5));
+        let mut volume = DayVolume::default();
+        volume.add_node_log(&small);
+        assert_eq!(volume, day_volume_by_expansion(&small));
+        assert!(!volume.is_empty());
+        // 10^12 records: expanding would never finish; the entry walk
+        // returns at once with the volume of the same sessions.
+        let huge = build(Some(1_000_000_000_000));
+        let mut volume_huge = DayVolume::default();
+        volume_huge.add_node_log(&huge);
+        assert_eq!(volume_huge, volume);
+        let mut series = DailySeries::new(0, 2);
+        series.add_node_log(&huge);
+        let mut routed = DailySeries::new(0, 2);
+        routed.add_day_volume(&volume);
+        for (a, b) in series.tb_hours.iter().zip(&routed.tb_hours) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
     }
 
     #[test]

@@ -9,12 +9,13 @@
 //! The rule implemented here: within one node, error logs that repeat the
 //! *same corruption* (same address, same flipped bits) with gaps no larger
 //! than `merge_window` are one fault. A compressed [`LogEntry::ErrorRun`]
-//! is by construction a maximal consecutive repetition, so it collapses to
-//! one fault directly — which is what makes extraction O(entries) even for
-//! the 24M-log flood node. Re-occurrences after a longer gap (the weak-bit
-//! intermittents, separated by many clean passes) count as new independent
-//! faults, matching the paper's thousands of identical-but-independent
-//! weak-bit errors.
+//! whose period is within the window chains all its repetitions, so it is
+//! absorbed whole as one span — which is what makes extraction O(entries)
+//! even for the 24M-log flood node — and the result is exactly that of
+//! its expanded records (see [`extract_node_faults`]). Re-occurrences
+//! after a longer gap (the weak-bit intermittents, separated by many clean
+//! passes) count as new independent faults, matching the paper's
+//! thousands of identical-but-independent weak-bit errors.
 
 use std::collections::{BinaryHeap, HashMap};
 
@@ -51,44 +52,130 @@ impl Default for ExtractConfig {
     }
 }
 
+/// Most records one node log may be expanded into when it holds a run
+/// with `period > merge_window`; see [`extract_node_faults`]. The budget
+/// is shared by the whole log, so no number of hostile `ERRORRUN` lines
+/// can expand past it. The simulator's runs (period two scan passes,
+/// ≤ 40 s) never need it.
+const EXPANSION_BUDGET: u64 = 1 << 12;
+
 /// Per-cell accumulation state.
 struct OpenFault {
     fault: Fault,
+    /// Latest first timestamp absorbed. An entry starting before it is an
+    /// out-of-order log line, not a recurrence.
+    last_start: SimTime,
+    /// Latest record absorbed: a run's last repetition can lie beyond the
+    /// start of later entries.
     last_seen: SimTime,
+}
+
+impl OpenFault {
+    /// Whether an entry starting at `t` continues this fault: it starts
+    /// in order, and inside the fault's span or within the window after
+    /// it. Raw `t - last_seen` would go negative (always "within" the
+    /// window) on out-of-order lines, which recovering ingest keeps and
+    /// `NodeLog::from_text` never re-sorts, and overflows on adversarial
+    /// timestamps; both open a new fault instead.
+    fn continues(&self, t: SimTime, window: SimDuration) -> bool {
+        t >= self.last_start
+            && (t <= self.last_seen
+                || t.checked_elapsed_since(self.last_seen)
+                    .is_some_and(|gap| gap <= window))
+    }
 }
 
 /// Extract independent faults from one node's log. Faults are returned in
 /// order of first detection.
+///
+/// Runs are exact: the faults equal those of the same log with every run
+/// expanded into its records and stable-sorted by time, for a log in
+/// first-timestamp order (`NodeLog::push`'s contract). A run with
+/// `period ≤ merge_window` chains all its repetitions, so it is absorbed
+/// whole as the span `[first, last]`; a later entry of the same cell that
+/// starts inside the span joins the same fault, as its records would
+/// interleave with the run's. A run with a longer period can split into
+/// one fault per repetition, so a log holding one is extracted from its
+/// time-sorted expansion when that is at most 4,096 records. Past that
+/// budget every run is absorbed whole, and the log yields at most one
+/// fault per entry.
 pub fn extract_node_faults(log: &NodeLog, cfg: &ExtractConfig) -> Vec<Fault> {
-    let mut open: HashMap<(u64, u32), OpenFault> = HashMap::new();
-    let mut done: Vec<Fault> = Vec::new();
+    let mut cells = Cells {
+        open: HashMap::new(),
+        done: Vec::new(),
+        window: cfg.merge_window,
+    };
+    let long_period = |e: &LogEntry| {
+        matches!(e, LogEntry::ErrorRun { count, period, .. }
+            if *count > 1 && *period > cfg.merge_window)
+    };
+    let fits_budget = || {
+        log.entries()
+            .iter()
+            .try_fold(0u64, |n, e| {
+                n.checked_add(e.record_count())
+                    .filter(|&n| n <= EXPANSION_BUDGET)
+            })
+            .is_some()
+    };
+    if log.entries().iter().any(long_period) && fits_budget() {
+        let mut records: Vec<ErrorRecord> = log
+            .entries()
+            .iter()
+            .flat_map(LogEntry::expand)
+            .filter_map(|r| r.as_error().copied())
+            .collect();
+        records.sort_by_key(|r| r.time);
+        for rec in &records {
+            cells.absorb(rec, 1, rec.time);
+        }
+    } else {
+        for entry in log.entries() {
+            match entry {
+                LogEntry::One(rec) => {
+                    if let Some(err) = rec.as_error() {
+                        cells.absorb(err, 1, err.time);
+                    }
+                }
+                LogEntry::ErrorRun { first, count, .. } => {
+                    cells.absorb(first, *count, entry.last_time());
+                }
+            }
+        }
+    }
+    let mut done = cells.done;
+    done.extend(cells.open.into_values().map(|of| of.fault));
+    // Fully discriminating key: the open-fault map iterates in hash order,
+    // so ties on (time, vaddr) must still sort deterministically.
+    done.sort_by_key(fault_sort_key);
+    done
+}
 
-    let absorb = |open: &mut HashMap<(u64, u32), OpenFault>,
-                  done: &mut Vec<Fault>,
-                  rec: &ErrorRecord,
-                  count: u64,
-                  last_time: SimTime| {
+/// One node's cells: the open fault per `(vaddr, xor)` and the closed
+/// faults.
+struct Cells {
+    open: HashMap<(u64, u32), OpenFault>,
+    done: Vec<Fault>,
+    window: SimDuration,
+}
+
+impl Cells {
+    /// Absorb `count` records that start at `rec.time` and end at
+    /// `last_time`, all of `rec`'s cell and shape.
+    fn absorb(&mut self, rec: &ErrorRecord, count: u64, last_time: SimTime) {
         let key = (rec.vaddr, rec.expected ^ rec.actual);
-        // Only a forward-in-time recurrence can extend an open fault. A
-        // record timestamped *before* the open fault's last sighting is an
-        // out-of-order log line (recovering ingest keeps those, and
-        // `NodeLog::from_text` never re-sorts): raw subtraction would hand
-        // back a negative "gap" that always passes the window check,
-        // silently merging unrelated faults — and overflows on adversarial
-        // timestamps. `checked_elapsed_since` refuses both, so the
-        // recurrence opens a new fault instead.
-        let recurrence_gap = |of: &OpenFault| rec.time.checked_elapsed_since(of.last_seen);
-        match open.get_mut(&key) {
-            Some(of) if recurrence_gap(of).is_some_and(|gap| gap <= cfg.merge_window) => {
-                of.fault.raw_logs += count;
-                of.last_seen = last_time;
+        match self.open.get_mut(&key) {
+            Some(of) if of.continues(rec.time, self.window) => {
+                of.fault.raw_logs = of.fault.raw_logs.saturating_add(count);
+                of.last_start = rec.time;
+                of.last_seen = of.last_seen.max(last_time);
             }
             existing => {
                 if existing.is_some() {
-                    let of = open.remove(&key).expect("present");
-                    done.push(of.fault);
+                    let of = self.open.remove(&key).expect("present");
+                    self.done.push(of.fault);
                 }
-                open.insert(
+                self.open.insert(
                     key,
                     OpenFault {
                         fault: Fault {
@@ -100,35 +187,13 @@ pub fn extract_node_faults(log: &NodeLog, cfg: &ExtractConfig) -> Vec<Fault> {
                             temp: rec.temp.map(|t| t.0),
                             raw_logs: count,
                         },
+                        last_start: rec.time,
                         last_seen: last_time,
                     },
                 );
             }
         }
-    };
-
-    for entry in log.entries() {
-        match entry {
-            LogEntry::One(rec) => {
-                if let Some(err) = rec.as_error() {
-                    absorb(&mut open, &mut done, err, 1, err.time);
-                }
-            }
-            LogEntry::ErrorRun {
-                first,
-                count,
-                period: _,
-            } => {
-                // A run is maximal consecutive repetition: one fault.
-                absorb(&mut open, &mut done, first, *count, entry.last_time());
-            }
-        }
     }
-    done.extend(open.into_values().map(|of| of.fault));
-    // Fully discriminating key: the open-fault map iterates in hash order,
-    // so ties on (time, vaddr) must still sort deterministically.
-    done.sort_by_key(fault_sort_key);
-    done
 }
 
 /// Merge per-node fault streams, each already sorted by [`fault_sort_key`]

@@ -15,6 +15,8 @@
 //!   per second of campaign wall-clock on the direct path);
 //! * `text_path_e2e_seconds` / `direct_path_e2e_seconds` — end-to-end
 //!   latency of each route (plus the derived `direct_speedup`);
+//! * `direct_full_e2e_seconds` — the direct path over the full 72-blade
+//!   machine (1,058 nodes, ~36M raw logs): `campaign_to_db` end to end;
 //! * `ingest_mb_per_sec` — recovering text ingest throughput over the
 //!   campaign corpus;
 //! * `scan_rows_per_sec` — warm full-scan query throughput over the
@@ -86,10 +88,16 @@ fn text_path_once(base: &Path, tag: &str) -> (f64, u64, u64) {
 /// One full direct-path run: campaign → in-memory stream → sealed db.
 /// Returns (elapsed seconds, sealed rows).
 fn direct_path_once(base: &Path, tag: &str) -> (f64, u64) {
+    direct_once(&cfg(), base, tag)
+}
+
+/// `campaign_to_db` for `cfg`, timed end to end with a fresh checkpoint
+/// dir. Returns (elapsed seconds, sealed rows).
+fn direct_once(cfg: &CampaignConfig, base: &Path, tag: &str) -> (f64, u64) {
     let db = base.join(format!("direct-{tag}.ucfdb"));
     let ckpt = base.join(format!("direct-ckpt-{tag}"));
     let t0 = Instant::now();
-    let output = campaign_to_db(&cfg(), &ckpt, &db, &WriteOptions::default()).unwrap();
+    let output = campaign_to_db(cfg, &ckpt, &db, &WriteOptions::default()).unwrap();
     (t0.elapsed().as_secs_f64(), output.summary.rows)
 }
 
@@ -292,6 +300,15 @@ fn emit_trajectory(quick: bool) {
     let catchup = catchup_mb_per_sec(&base, quick);
     let policy_dps = policy_days_per_sec(&base.join("direct-0.ucfdb"), quick);
 
+    // The full machine: every blade of the 72-blade system. Measured
+    // last, so its ~10x larger heap does not sit under the scan and
+    // serving measurements above.
+    let mut full_best = f64::INFINITY;
+    for r in 0..rounds {
+        let (secs, _) = direct_once(&CampaignConfig::small(42, 72), &base, &format!("full-{r}"));
+        full_best = full_best.min(secs);
+    }
+
     let json = format!(
         "{{\n  \"bench\": \"campaign\",\n  \"config\": {{\"seed\": 42, \"blades\": 8}},\n  \
          \"rows\": {rows},\n  \
@@ -299,6 +316,7 @@ fn emit_trajectory(quick: bool) {
          \"text_path_e2e_seconds\": {text_best:.4},\n  \
          \"direct_path_e2e_seconds\": {direct_best:.4},\n  \
          \"direct_speedup\": {:.2},\n  \
+         \"direct_full_e2e_seconds\": {full_best:.4},\n  \
          \"ingest_mb_per_sec\": {ingest_mb_per_sec:.1},\n  \
          \"scan_rows_per_sec\": {scan_rows_per_sec:.0},\n  \
          \"scan_packed_rows_per_sec\": {scan_packed_rows_per_sec:.0},\n  \

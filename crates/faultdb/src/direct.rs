@@ -9,9 +9,9 @@
 //!
 //! This module is the same spine with the two disk trips removed. Each
 //! completed node simulation is recovered *in memory*
-//! ([`uc_faultlog::ingest::recover_log`] — proven byte-equivalent to
-//! writing and re-reading the node's text file), streamed into a fold,
-//! and the fold's product goes through the identical
+//! ([`uc_faultlog::ingest::recover_log`] — proven equivalent to writing
+//! and re-reading the node's text file, with runs kept whole), streamed
+//! into a fold, and the fold's product goes through the identical
 //! [`Snapshot::from_cluster`] → [`write_db`] tail. The text path stays
 //! around as the differential oracle: for the same seed,
 //! campaign→text→`uc build-db` and campaign→`--db` must produce
@@ -24,7 +24,8 @@
 //! associative) [`IngestStats`] merge — and [`seal_recovered`] imposes
 //! the directory reader's total order (sort by node id) before the
 //! snapshot is built. From there the inputs to `Snapshot::from_cluster`
-//! are bit-identical to the text path's, so the sealed bytes are too.
+//! hold the text path's records (runs kept whole) and the same stats,
+//! and every snapshot product is identical, so the sealed bytes are too.
 
 use std::path::Path;
 

@@ -32,7 +32,7 @@ use std::path::{Path, PathBuf};
 
 use crate::codec::{parse_entry_line, ParseError};
 use crate::durable;
-use crate::record::LogRecord;
+use crate::record::{ErrorRecord, LogRecord};
 use crate::store::{ClusterLog, LogEntry, NodeLog};
 use uc_cluster::NodeId;
 
@@ -168,14 +168,16 @@ impl IngestStats {
         self.fsck_bytes_quarantined += other.fsck_bytes_quarantined;
     }
 
-    fn classify(&mut self, e: &ParseError) {
-        match e {
-            ParseError::Empty => self.blank_lines += 1,
-            ParseError::UnknownKind(_) => self.bad_kind += 1,
-            ParseError::MissingField(_) => self.bad_field += 1,
-            ParseError::BadNumber(..) => self.bad_number += 1,
-            ParseError::BadNode(_) => self.bad_node += 1,
-        }
+    /// Count `lines` lines dropped for `e`.
+    fn classify(&mut self, e: &ParseError, lines: u64) {
+        let counter = match e {
+            ParseError::Empty => &mut self.blank_lines,
+            ParseError::UnknownKind(_) => &mut self.bad_kind,
+            ParseError::MissingField(_) => &mut self.bad_field,
+            ParseError::BadNumber(..) => &mut self.bad_number,
+            ParseError::BadNode(_) => &mut self.bad_node,
+        };
+        *counter = counter.saturating_add(lines);
     }
 
     /// Human-readable multi-line summary, as `uc analyze` prints it.
@@ -308,60 +310,93 @@ impl LineRecovery {
                 if final_unterminated {
                     self.stats.torn_final_lines += 1;
                 } else {
-                    self.stats.classify(&e);
+                    self.stats.classify(&e, 1);
                 }
             }
         }
     }
 
-    /// Account one in-memory `ERROR` record without rendering the full
-    /// line — the hot path of the direct campaign→db stream, where the
-    /// record never touches disk. Byte-for-byte equivalent to rendering
-    /// the record with [`crate::codec::write_record_into`] and feeding
-    /// the line through [`LineRecovery::line`]:
+    /// Account one in-memory `ERROR` entry — a single record, or an
+    /// [`LogEntry::ErrorRun`] as a whole — without rendering any line: the
+    /// hot path of the direct campaign→db stream, where records never touch
+    /// disk. The stats and the kept entry are exactly those of rendering
+    /// every record with [`crate::codec::write_record_into`] (one line per
+    /// repetition, as [`NodeLog::to_text`] does) and feeding each line
+    /// through [`LineRecovery::line`]:
     ///
     /// - every integer field (`t`, `vaddr`, `page`, `expected`, `actual`)
     ///   round-trips the writer/parser exactly, so no text is needed;
     /// - the node is the pre-reparsed verdict of rendering `node=BB-SS`
     ///   and re-reading it (`reparsed`, cached by the caller) — `None`
-    ///   drops the record as `bad_node`, exactly as the text path would;
+    ///   drops all of the entry's lines as `bad_node`, exactly as the text
+    ///   path would;
     /// - the temperature is the one lossy field: it is rendered with the
     ///   writer's `{:.1}` encoder and re-read with the parser's decoder,
-    ///   the identical normalization the text round-trip applies;
+    ///   the identical normalization the text round-trip applies. Every
+    ///   repetition of a run carries `first`'s node and temperature, so
+    ///   both are normalized once per entry;
+    /// - `lines_read` and `records_kept` grow by the record count. The
+    ///   repetitions timestamped before the high-water mark are counted
+    ///   out of order in O(1) ([`LogEntry::records_before`]; repetition
+    ///   times never decrease, so they are a prefix of the run), and the
+    ///   mark then advances to `max(high_water, last_time)` — where the
+    ///   per-line walk leaves it;
     /// - an `ERROR` line is never a session marker, so the duplicate and
     ///   session bookkeeping reduces to `last_was_marker = false` on keep
-    ///   (a *dropped* line leaves the marker state untouched, like the
-    ///   `Err` arm of [`LineRecovery::line`]).
-    fn error_record_typed(
+    ///   (*dropped* lines leave the marker state untouched, like the `Err`
+    ///   arm of [`LineRecovery::line`]).
+    ///
+    /// Counts saturate: a hostile run's `count` may approach `u64::MAX`.
+    fn error_entry_typed(
         &mut self,
-        rec: &crate::record::ErrorRecord,
+        entry: &LogEntry,
+        first: &ErrorRecord,
         reparsed: Option<NodeId>,
         temp_buf: &mut String,
     ) {
-        self.stats.lines_read += 1;
+        let count = entry.record_count();
+        if count == 0 {
+            // An empty run renders no line at all.
+            return;
+        }
+        let stats = &mut self.stats;
+        stats.lines_read = stats.lines_read.saturating_add(count);
         let Some(node) = reparsed else {
-            self.stats.bad_node += 1;
+            stats.bad_node = stats.bad_node.saturating_add(count);
             return;
         };
         temp_buf.clear();
-        crate::codec::push_temp(temp_buf, rec.temp);
+        crate::codec::push_temp(temp_buf, first.temp);
         let temp = match crate::codec::val_temp(Some(temp_buf)) {
             Ok(t) => t,
             Err(e) => {
-                self.stats.classify(&e);
+                stats.classify(&e, count);
                 return;
             }
         };
-        if self.high_water.is_some_and(|t| rec.time < t) {
-            self.stats.out_of_order += 1;
-        } else {
-            self.high_water = Some(rec.time);
-        }
+        let last = entry.last_time();
+        self.high_water = Some(match self.high_water {
+            Some(hw) => {
+                stats.out_of_order = stats.out_of_order.saturating_add(entry.records_before(hw));
+                hw.max(last)
+            }
+            None => last,
+        });
         self.last_was_marker = false;
-        self.stats.records_kept += 1;
-        self.entries.push(LogEntry::One(LogRecord::Error(
-            crate::record::ErrorRecord { node, temp, ..*rec },
-        )));
+        stats.records_kept = stats.records_kept.saturating_add(count);
+        let first = ErrorRecord {
+            node,
+            temp,
+            ..*first
+        };
+        self.entries.push(match *entry {
+            LogEntry::One(_) => LogEntry::One(LogRecord::Error(first)),
+            LogEntry::ErrorRun { count, period, .. } => LogEntry::ErrorRun {
+                first,
+                count,
+                period,
+            },
+        });
     }
 
     /// Feed a whole text in one pass: lines are split at `\n` (with one
@@ -421,50 +456,64 @@ pub fn recover_text(text: &str) -> Recovered {
 
 /// Recover an in-memory [`NodeLog`] exactly as if it had been written to
 /// a plain text file and read back with [`read_node_log_recovering`] —
-/// the byte-identity seam of the direct campaign→db streaming path.
+/// the byte-identity seam of the direct campaign→db streaming path —
+/// without expanding its runs.
 ///
 /// The contract, pinned by differential tests against
-/// `recover_text(&log.to_text())`:
+/// `recover_text(&log.to_text())` (the per-record expansion, kept only
+/// as that oracle):
 ///
-/// - the record walk is `log.iter()` (runs expanded), the identical
-///   sequence [`NodeLog::to_text`] renders one line per record;
+/// - the walk is `log.entries()`: an [`LogEntry::ErrorRun`] stays one
+///   entry, and its plain-corpus [`IngestStats`] come from run arithmetic
+///   in O(1) ([`LineRecovery::error_entry_typed`]). The stats equal the
+///   oracle's field by field, and the kept entries, once expanded and
+///   stable-sorted by time, equal the oracle's records;
 /// - session markers (`START`/`END`) and `ALLOCFAIL` are rendered and
 ///   fed through the real line classifier, so duplicate-marker
 ///   suppression and session-gap accounting see the same bytes a file
 ///   would hold (two `NaN` temperatures render identically and *are*
 ///   duplicates — float equality would say otherwise);
-/// - `ERROR` records take the typed fast path
-///   ([`LineRecovery::error_record_typed`]): no line rendering, just the
-///   writer→parser normalization of the two non-exact fields (node name
-///   and `{:.1}` temperature);
+/// - `ERROR` entries take the typed fast path: no line rendering, just
+///   the writer→parser normalization of the two non-exact fields (node
+///   name and `{:.1}` temperature), once per entry;
 /// - `files_read = 1` and the node falls back to `log.node` when no
 ///   entry names one, mirroring the file-name fallback of the file
 ///   reader (a plain log file is named after `log.node`).
+///
+/// Entries are expected in first-timestamp order, as [`NodeLog::push`]
+/// appends them; the recovered log keeps runs whole, and extraction
+/// (`analysis::extract`) treats a run exactly as its expanded records.
 pub fn recover_log(log: &NodeLog) -> Recovered {
     let mut r = LineRecovery::default();
     let mut line = String::with_capacity(160);
     let mut scratch = String::with_capacity(32);
     // One-entry node cache: a node log names one node in virtually every
-    // record, so render+reparse validation runs once, not per record.
+    // record, so render+reparse validation runs once, not per entry.
     let mut node_cache: Option<(NodeId, Option<NodeId>)> = None;
-    for rec in log.iter() {
-        if let LogRecord::Error(e) = &rec {
-            let reparsed = match node_cache {
-                Some((seen, verdict)) if seen == e.node => verdict,
-                _ => {
-                    scratch.clear();
-                    crate::codec::push_node(&mut scratch, e.node);
-                    let verdict = NodeId::from_name(&scratch);
-                    node_cache = Some((e.node, verdict));
-                    verdict
+    for entry in log.entries() {
+        let first = match entry {
+            LogEntry::ErrorRun { first, .. } => first,
+            LogEntry::One(rec) => match rec.as_error() {
+                Some(e) => e,
+                None => {
+                    line.clear();
+                    crate::codec::write_record_into(&mut line, rec);
+                    r.line(&line, false);
+                    continue;
                 }
-            };
-            r.error_record_typed(e, reparsed, &mut scratch);
-        } else {
-            line.clear();
-            crate::codec::write_record_into(&mut line, &rec);
-            r.line(&line, false);
-        }
+            },
+        };
+        let reparsed = match node_cache {
+            Some((seen, verdict)) if seen == first.node => verdict,
+            _ => {
+                scratch.clear();
+                crate::codec::push_node(&mut scratch, first.node);
+                let verdict = NodeId::from_name(&scratch);
+                node_cache = Some((first.node, verdict));
+                verdict
+            }
+        };
+        r.error_entry_typed(entry, first, reparsed, &mut scratch);
     }
     let mut rec = r.finish();
     rec.stats.files_read = 1;
@@ -724,9 +773,11 @@ mod tests {
     }
 
     /// `recover_log` must behave exactly like writing the log to a plain
-    /// text file and reading it back: same kept records, same stats, same
-    /// node fallback. This is the byte-identity seam of the direct
-    /// campaign→db path, so every divergence here is a corruption bug.
+    /// text file and reading it back: same stats, same node fallback, and
+    /// the same records once its runs are expanded and stable-sorted by
+    /// time (the oracle's records are single lines, sorted the same way).
+    /// This is the byte-identity seam of the direct campaign→db path, so
+    /// every divergence here is a corruption bug.
     fn assert_recover_log_matches_text_path(log: &NodeLog) {
         let direct = recover_log(log);
         let mut oracle = recover_text(&log.to_text());
@@ -736,22 +787,19 @@ mod tests {
         }
         assert_eq!(direct.stats, oracle.stats, "ingest stats diverged");
         assert_eq!(direct.log.node, oracle.log.node, "node diverged");
-        assert_eq!(
-            direct.log.entries().len(),
-            oracle.log.entries().len(),
-            "entry count diverged"
-        );
-        // Entry-level equality through the exact-bit renderer: LogEntry
-        // has no PartialEq, and float `==` would miss NaN-vs-NaN anyway.
+        // Record-level equality through the exact-bit renderer: float `==`
+        // would miss NaN-vs-NaN.
         let render = |l: &NodeLog| {
+            let mut records: Vec<LogRecord> = l.iter().collect();
+            records.sort_by_key(LogRecord::time);
             let mut out = String::new();
-            for e in l.entries() {
-                crate::codec::write_entry_exact_into(&mut out, e);
+            for r in &records {
+                crate::codec::write_record_exact_into(&mut out, r);
                 out.push('\n');
             }
             out
         };
-        assert_eq!(render(&direct.log), render(&oracle.log), "entries diverged");
+        assert_eq!(render(&direct.log), render(&oracle.log), "records diverged");
     }
 
     fn node(name: &str) -> NodeId {
@@ -884,6 +932,79 @@ mod tests {
         log.push(err_at(12, n, 0x999, None));
         let rec = recover_log(&log);
         assert_eq!(rec.stats.out_of_order, 1, "run tail is past the single");
+        assert_recover_log_matches_text_path(&log);
+    }
+
+    #[test]
+    fn recover_log_counts_run_prefixes_out_of_order() {
+        // A long run raises the high-water mark to its last repetition;
+        // a later run starting inside that span has its early repetitions
+        // out of order and the rest in order, and a run entirely inside
+        // it is out of order throughout.
+        let n = node("04-02");
+        let mut log = NodeLog::new(n);
+        let run = |t: i64, vaddr: u64| match err_at(t, n, vaddr, Some(40.0)) {
+            LogRecord::Error(e) => e,
+            _ => unreachable!(),
+        };
+        log.push_run(run(100, 0x10), 10, uc_simclock::SimDuration::from_secs(40));
+        log.push_run(run(150, 0x20), 8, uc_simclock::SimDuration::from_secs(60));
+        log.push_run(run(160, 0x30), 3, uc_simclock::SimDuration::from_secs(0));
+        log.push(err_at(170, n, 0x40, None));
+        let rec = recover_log(&log);
+        // First run: 100..=460. Second: 150, 210, ..., 570, of which 150,
+        // 210, 270, 330, 390, 450 fall below 460. Third: 3 × 160 < 570.
+        // The single at 170 < 570.
+        assert_eq!(rec.stats.out_of_order, 6 + 3 + 1);
+        assert_eq!(rec.stats.lines_read, 10 + 8 + 3 + 1);
+        assert_eq!(rec.log.entries().len(), 4, "runs stay whole");
+        assert_recover_log_matches_text_path(&log);
+    }
+
+    #[test]
+    fn recover_log_keeps_huge_and_saturating_runs_whole() {
+        // 10^12 records, and a run whose times saturate after one
+        // repetition: both recover in O(1) per run, where the expanded
+        // walk would never finish.
+        let n = node("01-02");
+        let mut log = NodeLog::new(n);
+        let LogRecord::Error(first) = err_at(10, n, 0x10, Some(41.0)) else {
+            unreachable!()
+        };
+        log.push_run(
+            first,
+            1_000_000_000_000,
+            uc_simclock::SimDuration::from_secs(40),
+        );
+        let LogRecord::Error(late) = err_at(20, n, 0x20, None) else {
+            unreachable!()
+        };
+        log.push_run(
+            late,
+            u64::MAX,
+            uc_simclock::SimDuration::from_secs(i64::MAX),
+        );
+        let rec = recover_log(&log);
+        assert_eq!(rec.stats.lines_read, u64::MAX, "saturates, no overflow");
+        assert_eq!(rec.stats.records_kept, u64::MAX);
+        // The second run's first repetition (t=20) is below the first
+        // run's last (10 + 40·(10^12 − 1)); the rest sit at SimTime::MAX.
+        assert_eq!(rec.stats.out_of_order, 1);
+        assert_eq!(rec.log.entries().len(), 2);
+    }
+
+    #[test]
+    fn recover_log_drops_out_of_topology_runs_as_bad_node() {
+        let n = node("01-01");
+        let mut log = NodeLog::new(n);
+        let LogRecord::Error(bad) = err_at(10, NodeId(u32::MAX), 0x10, None) else {
+            unreachable!()
+        };
+        log.push_run(bad, 5, uc_simclock::SimDuration::from_secs(40));
+        log.push(err_at(20, n, 0x20, None));
+        let rec = recover_log(&log);
+        assert_eq!(rec.stats.bad_node, 5);
+        assert_eq!(rec.stats.records_kept, 1);
         assert_recover_log_matches_text_path(&log);
     }
 

@@ -68,16 +68,51 @@ impl LogEntry {
     /// reject negative periods — the result is clamped to
     /// `[first_time, SimTime::MAX]` instead of panicking or time-travelling.
     pub fn last_time(&self) -> SimTime {
+        self.rep_time(self.record_count().saturating_sub(1))
+    }
+
+    /// Timestamp of repetition `rep` (0 is the first record), clamped as
+    /// [`LogEntry::last_time`] is. A single record is its own repetition
+    /// 0, and every other `rep` of it reads the same time.
+    pub fn rep_time(&self, rep: u64) -> SimTime {
         match self {
             LogEntry::One(r) => r.time(),
+            LogEntry::ErrorRun { first, period, .. } => {
+                first.time.saturating_add(run_offset(*period, rep))
+            }
+        }
+    }
+
+    /// How many of the entry's records are timestamped strictly before
+    /// `bound`, in O(1). Repetition times never decrease, so these are
+    /// always the first repetitions; the count agrees with expanding the
+    /// entry and comparing every record's time.
+    pub fn records_before(&self, bound: SimTime) -> u64 {
+        let (first, count, period) = match self {
+            LogEntry::One(r) => return u64::from(r.time() < bound),
             LogEntry::ErrorRun {
                 first,
                 count,
                 period,
-            } => first
-                .time
-                .saturating_add(run_offset(*period, count.saturating_sub(1))),
+            } => (first.time, *count, period.as_secs()),
+        };
+        // rep_time(k) >= bound  <=>  run_offset(period, k) >= need: the sum
+        // saturates only at SimTime's ceiling, and `bound` is below it.
+        let need = i128::from(bound.as_secs()) - i128::from(first.as_secs());
+        if need <= 0 {
+            return 0;
         }
+        // run_offset is 0 for a non-positive period and never exceeds
+        // i64::MAX, so such a run never reaches `bound`.
+        if period <= 0 || need > i128::from(i64::MAX) {
+            return count;
+        }
+        // The first repetition at or past `bound` is ceil(need / period):
+        // its unsaturated offset is >= need, and a saturated one is
+        // i64::MAX >= need.
+        let period = i128::from(period);
+        let reached = (need + period - 1) / period;
+        count.min(reached as u64)
     }
 
     /// Expand into raw records.
@@ -115,16 +150,12 @@ impl Iterator for LogEntryIter<'_> {
                     None
                 }
             }
-            LogEntry::ErrorRun {
-                first,
-                count,
-                period,
-            } => {
+            LogEntry::ErrorRun { first, count, .. } => {
                 if self.next >= *count {
                     return None;
                 }
                 let mut rec = *first;
-                rec.time = first.time.saturating_add(run_offset(*period, self.next));
+                rec.time = self.entry.rep_time(self.next);
                 self.next += 1;
                 Some(LogRecord::Error(rec))
             }
@@ -389,6 +420,57 @@ mod tests {
             actual: 0xFFFF_FFFE,
             temp: None,
         }
+    }
+
+    #[test]
+    fn records_before_agrees_with_expansion() {
+        let starts = [-50, 0, 7, i64::MAX - 100, i64::MAX];
+        let periods = [-3, 0, 1, 5, 40, 46, i64::MAX / 2, i64::MAX];
+        let bounds = [i64::MIN, -60, 0, 6, 7, 8, 93, 1_000, i64::MAX - 1, i64::MAX];
+        for &t0 in &starts {
+            for &p in &periods {
+                for count in [1u64, 2, 3, 17] {
+                    let e = LogEntry::ErrorRun {
+                        first: err(1, t0),
+                        count,
+                        period: SimDuration::from_secs(p),
+                    };
+                    for &b in &bounds {
+                        let bound = SimTime::from_secs(b);
+                        let brute = e.expand().filter(|r| r.time() < bound).count() as u64;
+                        assert_eq!(
+                            e.records_before(bound),
+                            brute,
+                            "t0={t0} p={p} n={count} b={b}"
+                        );
+                    }
+                    let times: Vec<SimTime> = e.expand().map(|r| r.time()).collect();
+                    assert_eq!(times.last().copied(), Some(e.last_time()));
+                    for (k, t) in times.iter().enumerate() {
+                        assert_eq!(e.rep_time(k as u64), *t);
+                    }
+                }
+            }
+        }
+        // Counts no expansion could walk.
+        let huge = LogEntry::ErrorRun {
+            first: err(1, 0),
+            count: u64::MAX,
+            period: SimDuration::from_secs(10),
+        };
+        assert_eq!(huge.records_before(SimTime::from_secs(95)), 10);
+        // Repetition ceil(MAX / 10) is the first to saturate at SimTime::MAX.
+        assert_eq!(
+            huge.records_before(SimTime::from_secs(i64::MAX)),
+            (i64::MAX as u64).div_ceil(10)
+        );
+        let flat = LogEntry::ErrorRun {
+            first: err(1, 0),
+            count: u64::MAX,
+            period: SimDuration::from_secs(0),
+        };
+        assert_eq!(flat.records_before(SimTime::from_secs(1)), u64::MAX);
+        assert_eq!(flat.records_before(SimTime::from_secs(0)), 0);
     }
 
     #[test]

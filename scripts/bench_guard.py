@@ -37,6 +37,7 @@ HIGHER_IS_BETTER = (
 LOWER_IS_BETTER = (
     "text_path_e2e_seconds",
     "direct_path_e2e_seconds",
+    "direct_full_e2e_seconds",
     "serve_p99_us",
 )
 

@@ -16,9 +16,13 @@
 //!   completes (fresh or checkpoint-restored; never for a failed node).
 //!   The hook recovers the node's log *in memory* with
 //!   [`recover_log`](uc_faultlog::ingest::recover_log) — proven
-//!   byte-equivalent to writing the node's text file and reading it
-//!   back — and emits the [`Recovered`] into a bounded
-//!   [`stage_shared`] channel.
+//!   equivalent to writing the node's text file and reading it back —
+//!   and emits the [`Recovered`] into a bounded [`stage_shared`]
+//!   channel. Recovery is run-aware: a stuck cell's re-detections stay
+//!   one `ErrorRun` entry, whose plain-corpus ingest stats come from run
+//!   arithmetic, so the ~36M raw records of the 72-blade machine are
+//!   never expanded (extraction treats a run exactly as its records;
+//!   DESIGN.md §10).
 //! * **Consumer** — folds arrivals into a
 //!   [`DirectFold`](uc_faultdb::direct::DirectFold): an
 //!   order-insensitive bag, because completion order is

@@ -8,9 +8,11 @@
 //! 3. a single bit flip inside a v2 block payload surfaces as a typed
 //!    `BlockCorrupt`, never as different rows.
 
-use std::fs;
-use std::path::PathBuf;
+mod common;
 
+use std::fs;
+
+use common::ScratchDir;
 use proptest::prelude::*;
 
 use uc_analysis::extract::fault_sort_key;
@@ -21,12 +23,6 @@ use uc_faultdb::{
     parse_query, DbError, FaultDb, FileEncoding, QueryOptions, Snapshot, WriteOptions,
 };
 use uc_simclock::SimTime;
-
-fn fresh_dir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("uc-v2-props-{}", std::process::id()));
-    fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 prop_compose! {
     fn fault_strategy()(
@@ -127,7 +123,7 @@ proptest! {
         faults in proptest::collection::vec(fault_strategy(), 0..300),
         rows_per_block in 1usize..96,
     ) {
-        let dir = fresh_dir();
+        let dir = ScratchDir::new("v2-props");
         let snap = snapshot_of(faults);
         let v1 = dir.join("ident-v1.ucfdb");
         let v2 = dir.join("ident-v2.ucfdb");
@@ -137,8 +133,6 @@ proptest! {
         let db2 = FaultDb::open(&v2).unwrap();
         prop_assert_eq!(db1.faults_all().unwrap(), db2.faults_all().unwrap());
         prop_assert_eq!(db1.snapshot().unwrap(), db2.snapshot().unwrap());
-        let _ = fs::remove_file(&v1);
-        let _ = fs::remove_file(&v2);
     }
 
     /// Every kernel, over both encodings, agrees with the brute-force
@@ -149,7 +143,7 @@ proptest! {
         pred in pred_expr(3),
         act in action(),
     ) {
-        let dir = fresh_dir();
+        let dir = ScratchDir::new("v2-props");
         let snap = snapshot_of(faults);
         let text = format!("{act} where {pred}");
         let q = parse_query(&text).unwrap();
@@ -164,7 +158,6 @@ proptest! {
             let r = db.query(&text, &opts).unwrap();
             prop_assert_eq!(r.matched, want_matched, "{} {}", tag, text);
             answers.push(r.lines);
-            let _ = fs::remove_file(&path);
         }
         // Both encodings render the identical bytes, not just counts.
         prop_assert_eq!(&answers[0], &answers[1], "{}", text);
@@ -178,7 +171,7 @@ proptest! {
         seed in any::<u64>(),
         bit in 0u8..8,
     ) {
-        let dir = fresh_dir();
+        let dir = ScratchDir::new("v2-props");
         let snap = snapshot_of(faults);
         let path = dir.join(format!("flip-{seed}-{bit}.ucfdb"));
         write_db(&snap, &path, &WriteOptions { rows_per_block: 16, encoding: FileEncoding::V2 }).unwrap();
@@ -206,6 +199,5 @@ proptest! {
                 offset, bit, rows.len()
             ),
         }
-        let _ = fs::remove_file(&path);
     }
 }

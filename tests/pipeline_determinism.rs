@@ -4,6 +4,9 @@
 //! records — which lossy recovery deliberately keeps — must never panic
 //! the extraction arithmetic.
 
+mod common;
+
+use common::ScratchDir;
 use proptest::prelude::*;
 
 use uc_analysis::extract::{
@@ -104,9 +107,7 @@ fn db_report_is_byte_identical_to_text_report_at_any_thread_count() {
     let stats = uc_faultlog::ingest::IngestStats::default();
     let direct = Snapshot::from_cluster(&cluster, stats);
 
-    let dir = std::env::temp_dir().join(format!("uc-pipe-db-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = ScratchDir::new("pipe-db");
     let path = dir.join("t.fdb");
     // Small blocks so the parallel build and scan actually fan out.
     write_db(
@@ -149,7 +150,6 @@ fn db_report_is_byte_identical_to_text_report_at_any_thread_count() {
         std::fs::read(&single).unwrap(),
         "sealed database bytes depend on thread count"
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A hand-built worst case: reordered records with extreme timestamps for

@@ -14,9 +14,11 @@
 //! `Engine::collect_days` feed; the property tests drive `replay`
 //! directly on generated day streams.
 
-use std::fs;
+mod common;
+
 use std::path::Path;
 
+use common::ScratchDir;
 use proptest::prelude::*;
 
 use unprotected_computing::analysis::fault::Fault;
@@ -113,9 +115,7 @@ fn sealed_campaign_db(dir: &Path) -> Engine {
 
 #[test]
 fn sealed_campaign_conservation_bound_and_determinism() {
-    let dir = std::env::temp_dir().join(format!("uc-policy-it-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).unwrap();
+    let dir = ScratchDir::new("policy-it");
     let db = sealed_campaign_db(&dir);
     let days = db.collect_days().unwrap();
     let cfg = ReplayConfig {
@@ -164,8 +164,6 @@ fn sealed_campaign_conservation_bound_and_determinism() {
         });
         assert_eq!(t, table, "diverged at {threads} threads");
     }
-
-    let _ = fs::remove_dir_all(&dir);
 }
 
 /// Replicate the replay's managed-decision bookkeeping to extract every
